@@ -21,7 +21,8 @@ Three modes:
   make a query slower than the naive rung).
 
 * ``check_bench_regression.py --codegen BENCH_codegen.json`` —
-  validate a ``python -m repro.bench codegen`` payload: every cell must
+  validate the checked-in codegen payload (written by the retired
+  ``python -m repro.bench codegen`` A/B, kept as the record): every cell must
   report byte-identical matches and cycles between the interpreted fast
   path and the compiled tier, and the geomean speedup over the *dense*
   cells must reach ``--min-codegen-speedup`` (default 2.0, the

@@ -272,18 +272,17 @@ def lint_budget(
             )
 
             src_bytes = estimate_source_size(plan, config)
-        except Exception:  # pragma: no cover - codegen tier unavailable
+        except Exception:  # pragma: no cover - plan the emitter rejects
             src_bytes = None
         if src_bytes is not None and src_bytes > SOURCE_BUDGET_BYTES:
             rep.add(
-                "B408", Severity.WARNING, "config.codegen",
+                "B408", Severity.WARNING, "config.fastpath",
                 f"the compiled-tier kernel for this plan would be "
                 f"{src_bytes} B of generated source, past the "
                 f"{SOURCE_BUDGET_BYTES} B budget: compilation dominates "
                 "the first run and large modules crowd the code cache",
                 hint="merge per-label set copies (Fig. 10b) or lower "
-                "unroll; or leave codegen off for this plan — the "
-                "interpreted fast path has no source budget",
+                "unroll",
             )
     rep.add(
         "B405", Severity.NOTE, f"level {est.peak_live_level}",

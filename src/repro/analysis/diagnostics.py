@@ -145,10 +145,9 @@ RULE_REGISTRY: dict[str, RuleInfo] = {
             "B407": ("process-executor worker count exceeds the divisible shard/root-chunk "
                      "supply",
                      "lower num_workers or increase shard count"),
-            "B408": ("the codegen tier's emitted kernel source exceeds the source-size "
-                     "budget",
-                     "merge per-label set copies or lower unroll, or run the plan on the "
-                     "interpreted fast path"),
+            "B408": ("the compiled fast tier's emitted kernel source exceeds the "
+                     "source-size budget",
+                     "merge per-label set copies or lower unroll"),
             "B409": ("adjacency bitmap configured on a huge or memory-mapped graph "
                      "(each hub row densifies to n bytes)",
                      "set bitmap_threshold=None for out-of-core graphs — densified hub "

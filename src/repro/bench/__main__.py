@@ -10,7 +10,6 @@ Examples::
     python -m repro.bench fig12 --datasets mico
     python -m repro.bench all --budget 200000
     python -m repro.bench fastpath --json BENCH_fastpath.json
-    python -m repro.bench codegen --json BENCH_codegen.json
     python -m repro.bench parallel --json BENCH_parallel.json
     python -m repro.bench profile --json BENCH_profile.json
     python -m repro.bench chaos --seed-sweep 10
@@ -53,12 +52,6 @@ EXPERIMENTS = {
         queries=a.queries, budget=a.budget
     ),
     "fastpath": lambda a: experiments.fastpath_bench(
-        workloads=[tuple(w.split("/", 1)) for w in a.datasets]
-        if a.datasets else None,
-        budget=a.budget,
-        scale=a.scale or "small",
-    ),
-    "codegen": lambda a: experiments.codegen_bench(
         workloads=[tuple(w.split("/", 1)) for w in a.datasets]
         if a.datasets else None,
         budget=a.budget,

@@ -39,7 +39,6 @@ __all__ = [
     "fig13_unroll_utilization",
     "codemotion_ablation",
     "fastpath_bench",
-    "codegen_bench",
     "parallel_scaling",
     "chaos_sweep",
     "profile_breakdown",
@@ -383,7 +382,7 @@ def fastpath_bench(
     scale: str = "small",
     census: tuple[str, int] | None = ("wiki_vote", 4),
 ) -> ExperimentResult:
-    """Wall-clock A/B of the vectorized ``getCandidates`` backend.
+    """Wall-clock A/B of the compiled fast ``getCandidates`` tier.
 
     Runs every workload twice — ``fastpath=False`` (the per-slot
     reference path) and ``fastpath=True`` — and records host wall
@@ -462,151 +461,6 @@ def fastpath_bench(
         "geomean_speedup": round(gm, 3),
     }
     return ExperimentResult(experiment="fastpath", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Compiled codegen tier — host wall-clock benchmark (docs/PERFORMANCE.md)
-# ---------------------------------------------------------------------------
-
-#: dense synthetic cells for the compiled-tier gate.  The registry's
-#: stand-in datasets are far sparser than the paper's graphs (Table I:
-#: Orkut averages 76 neighbors, MiCo 22 — the scaled stand-ins sit at a
-#: median degree of 4–12), and on near-empty candidate arrays the
-#: shared kernel loop dominates both backends, hiding the compiled
-#: tier's advantage.  These cells restore paper-like density (median
-#: degree ≈ 34) so the measured speedup reflects frame computation.
-CODEGEN_DENSE_GRAPH = ("dense24", 400, 24, 0.5, 41)  # name, n, m, p_tri, seed
-
-CODEGEN_DENSE_QUERIES: tuple[str, ...] = ("q1", "q3", "q5", "q7")
-
-#: registry stand-ins measured alongside (informational — sparse rows
-#: are reported but do not feed the dense-geomean gate)
-CODEGEN_SPARSE_WORKLOADS: list[tuple[str, str]] = [
-    ("mico", "q1"),
-    ("wiki_vote", "q5"),
-    ("enron", "q3"),
-]
-
-#: median-degree floor above which a cell counts toward the dense gate
-CODEGEN_DENSE_MEDIAN_DEGREE = 20.0
-
-CODEGEN_DENSE_BUDGET = 3_000_000
-
-
-def codegen_bench(
-    workloads: list[tuple[str, str]] | None = None,
-    budget: int | None = 500_000,
-    scale: str = "small",
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Wall-clock A/B of the compiled per-query kernel tier.
-
-    Runs every cell twice on the vectorized fast path — ``codegen=False``
-    (interpreted plan IR) and ``codegen=True`` (the emitted per-plan
-    module) — asserting byte-identical matches and simulated cycles
-    (the compiled tier's contract) and recording the best of
-    ``repeats`` timed runs per backend after an untimed warmup (the
-    warmup absorbs the one-off ``exec`` compile on the codegen arm and
-    cache/allocator warmth on both).
-
-    Cells come in two bands: the dense synthetic graph
-    (:data:`CODEGEN_DENSE_GRAPH`, pinned at
-    :data:`CODEGEN_DENSE_BUDGET` matches) whose rows feed
-    ``geomean_speedup_dense`` — the ≥2× CI gate — and the registry
-    stand-ins (``workloads``/``budget``), reported for visibility on
-    sparse inputs where the shared kernel loop bounds the ratio.  The
-    ``data`` dict is the BENCH_codegen.json payload consumed by
-    ``scripts/check_bench_regression.py --codegen``.
-    """
-    import time as _time
-
-    import numpy as _np
-
-    from repro.codegen.compile import code_cache_stats
-    from repro.graph.generators import powerlaw_cluster
-
-    workloads = CODEGEN_SPARSE_WORKLOADS if workloads is None else workloads
-    t = TextTable(
-        title=f"Codegen tier wall clock (scale={scale!r}, repeats={repeats})",
-        columns=["workload", "dense", "matches", "interp s", "codegen s",
-                 "speedup", "identical"],
-    )
-    rows: list[dict] = []
-
-    def run_cell(key, graph, query, cell_budget):
-        meddeg = float(_np.median(_np.diff(graph.indptr)))
-        walls = {}
-        totals = {}
-        for cg in (False, True):
-            cfg = EngineConfig(fastpath=True, codegen=cg,
-                               max_results=cell_budget)
-            engine = STMatchEngine(graph, cfg)
-            engine.run(query)  # warmup (codegen arm compiles here)
-            best = float("inf")
-            res = None
-            for _ in range(max(repeats, 1)):
-                t0 = _time.perf_counter()
-                res = engine.run(query)
-                best = min(best, _time.perf_counter() - t0)
-            walls[cg] = best
-            totals[cg] = (res.matches, res.cycles)
-        (ref_m, ref_c), (cg_m, cg_c) = totals[False], totals[True]
-        speedup = walls[False] / walls[True] if walls[True] else float("inf")
-        row = {
-            "key": key,
-            "dense": meddeg >= CODEGEN_DENSE_MEDIAN_DEGREE,
-            "median_degree": meddeg,
-            "budget": cell_budget,
-            "matches": ref_m,
-            "cycles": ref_c,
-            "wall_s_interp": round(walls[False], 4),
-            "wall_s_codegen": round(walls[True], 4),
-            "speedup": round(speedup, 3),
-            "identical_matches": ref_m == cg_m,
-            "identical_cycles": ref_c == cg_c,
-        }
-        rows.append(row)
-        t.add_row(key, "yes" if row["dense"] else "no", ref_m,
-                  f"{walls[False]:.2f}", f"{walls[True]:.2f}",
-                  f"{speedup:.2f}×",
-                  "yes" if row["identical_matches"] and row["identical_cycles"]
-                  else "NO")
-
-    from repro.pattern import QUERIES
-
-    name, n, m, p_tri, seed = CODEGEN_DENSE_GRAPH
-    dense_graph = powerlaw_cluster(n, m=m, p_triangle=p_tri, seed=seed,
-                                   name=name)
-    for qn in CODEGEN_DENSE_QUERIES:
-        run_cell(f"{name}/{qn}", dense_graph, QUERIES[qn],
-                 CODEGEN_DENSE_BUDGET)
-    for ds, qn in workloads:
-        w = make_workload(ds, qn, scale=scale, budget=budget)
-        run_cell(f"{ds}/{qn}", w.graph, w.query, w.budget)
-
-    speedups = [r["speedup"] for r in rows]
-    dense_speedups = [r["speedup"] for r in rows if r["dense"]]
-    gm = geomean(speedups) if speedups else float("nan")
-    gm_dense = geomean(dense_speedups) if dense_speedups else float("nan")
-    t.add_note(f"geomean speedup {gm:.2f}× (dense cells {gm_dense:.2f}×) — "
-               "identical columns assert byte-identical matches AND "
-               "simulated cycles; only dense rows feed the CI gate")
-    cache = code_cache_stats()
-    t.add_note(f"code cache: {cache['hits']} hits / {cache['misses']} misses "
-               f"/ {cache['evictions']} evictions, "
-               f"{cache['size']}/{cache['capacity']} entries")
-    data = {
-        "experiment": "codegen",
-        "scale": scale,
-        "budget": budget,
-        "dense_budget": CODEGEN_DENSE_BUDGET,
-        "repeats": repeats,
-        "workloads": rows,
-        "geomean_speedup": round(gm, 3),
-        "geomean_speedup_dense": round(gm_dense, 3),
-        "cache": cache,
-    }
-    return ExperimentResult(experiment="codegen", rendered=t.render(), data=data)
 
 
 # ---------------------------------------------------------------------------

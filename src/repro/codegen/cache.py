@@ -1,4 +1,4 @@
-"""Counting LRU cache + codegen env-override resolution.
+"""Counting LRU cache.
 
 This module is dependency-free (stdlib only) so the lowest layers —
 ``repro.core.engine``'s per-graph plan cache and the process-wide code
@@ -10,17 +10,13 @@ up in ``python -m repro.bench profile``.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any
 
-__all__ = ["LRUCache", "resolve_codegen"]
+__all__ = ["LRUCache"]
 
 _MISS = object()
-
-_TRUE = frozenset(("1", "true", "yes", "on"))
-_FALSE = frozenset(("0", "false", "no", "off"))
 
 
 class LRUCache:
@@ -123,26 +119,3 @@ class LRUCache:
                 "size": len(self._data),
                 "capacity": self.maxsize,
             }
-
-
-def resolve_codegen(config: Any) -> bool:
-    """Resolve the codegen flag with the ``REPRO_CODEGEN`` env override.
-
-    Mirrors :func:`repro.parallel.executor.resolve_execution`: the
-    environment wins over ``config.codegen`` so CI matrices can re-run
-    the whole suite under the compiled tier without touching call
-    sites.  An empty/unset variable defers to the config.
-    """
-    raw = os.environ.get("REPRO_CODEGEN")
-    if raw is None:
-        return bool(config.codegen)
-    val = raw.strip().lower()
-    if not val:
-        return bool(config.codegen)
-    if val in _TRUE:
-        return True
-    if val in _FALSE:
-        return False
-    raise ValueError(
-        f"REPRO_CODEGEN={raw!r}: expected a boolean (1/0/true/false/yes/no/on/off)"
-    )

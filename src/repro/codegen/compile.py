@@ -3,9 +3,9 @@
 The code cache is keyed by :func:`repro.codegen.emit.codegen_key` —
 graph-independent, exactly like the per-graph plan cache — so every
 engine over any data graph reuses one compiled module per
-(query, schedule, codegen-relevant knobs) tuple, and process-pool
-workers rebuild identical kernels from the pickled ``(plan, config)``
-without code objects ever crossing the pipe.
+(query, schedule, codegen-relevant knobs, pinned levels) tuple, and
+process-pool workers rebuild identical kernels from the pickled
+``(plan, config)`` without code objects ever crossing the pipe.
 """
 
 from __future__ import annotations
@@ -37,32 +37,39 @@ _CODE_CACHE = LRUCache(CODE_CACHE_MAX, name="codegen")
 
 @dataclass(frozen=True)
 class CompiledKernel:
-    """One exec'd kernel module: its key, source, and level entry points."""
+    """One exec'd kernel module: its key and level entry points.
+
+    The source is not kept (anchored counts compile dozens of kernels;
+    :func:`~repro.codegen.emit.emit_kernel_source` re-emits it
+    byte-identically on demand).
+    """
 
     key: tuple[Any, ...]
-    source: str
     levels: dict[int, Callable[..., Any]] = field(compare=False, repr=False)
 
 
-def compile_kernel(plan: MatchingPlan, config: EngineConfig) -> CompiledKernel:
+def compile_kernel(
+    plan: MatchingPlan, config: EngineConfig, pinned: tuple[int, ...] = ()
+) -> CompiledKernel:
     """Emit + ``exec`` the specialized kernel for ``plan`` (no cache)."""
-    source = emit_kernel_source(plan, config)
+    source = emit_kernel_source(plan, config, pinned)
     code = compile(source, "<repro.codegen>", "exec")
     ns: dict[str, Any] = {}
     exec(code, ns)  # executing our own emitted source
     return CompiledKernel(
-        key=codegen_key(plan, config),
-        source=source,
+        key=codegen_key(plan, config, pinned),
         levels=ns["LEVELS"],
     )
 
 
-def compiled_kernel(plan: MatchingPlan, config: EngineConfig) -> CompiledKernel:
+def compiled_kernel(
+    plan: MatchingPlan, config: EngineConfig, pinned: tuple[int, ...] = ()
+) -> CompiledKernel:
     """Cache-through lookup: compile on miss, LRU-reuse on hit."""
-    key = codegen_key(plan, config)
+    key = codegen_key(plan, config, pinned)
     kernel = _CODE_CACHE.get(key)
     if kernel is None:
-        kernel = compile_kernel(plan, config)
+        kernel = compile_kernel(plan, config, pinned)
         _CODE_CACHE.put(key, kernel)
     return kernel
 

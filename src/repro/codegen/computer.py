@@ -1,16 +1,16 @@
-"""Codegen-backed candidate computer.
+"""The fast tier's candidate computer.
 
-:class:`CodegenCandidateComputer` is a drop-in
-:class:`~repro.core.candidates.CandidateComputer` whose
-``compute_frame`` dispatches to the compiled per-level functions from
-:mod:`repro.codegen.compile` instead of interpreting the plan IR.  All
-graph-dependent state (label LUTs, degree table, bitmap index, slot
-capacity) still lives on the instance — generated code reaches it
-through the ``C`` argument — so one compiled kernel serves every data
-graph.
+:class:`CodegenCandidateComputer` is the
+:class:`~repro.core.candidates.CandidateComputer` every ``fastpath=True``
+run uses: its ``compute_frame`` dispatches to the compiled per-level
+functions from :mod:`repro.codegen.compile` instead of the per-slot
+reference loop.  All graph-dependent state (label LUTs, degree table,
+bitmap index, slot capacity, pin values) still lives on the instance —
+generated code reaches it through the ``C`` argument — so one compiled
+kernel serves every data graph and every anchor.
 
 Byte-identical contract: matches, simulated cycles, steal schedules and
-tracer streams equal the interpreted fast path's
+tracer streams equal the reference path's
 (``tests/test_codegen_identity.py``); only host wall-clock changes.
 """
 
@@ -25,6 +25,7 @@ from repro.core.config import EngineConfig
 from repro.core.stack import Frame, WarpStack
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
+from repro.virtgpu.setops import membership_batch
 from repro.virtgpu.warp import Warp
 
 from .compile import compiled_kernel
@@ -36,17 +37,37 @@ __all__ = ["CodegenCandidateComputer"]
 class CodegenCandidateComputer(CandidateComputer):
     """Evaluates ``getCandidates`` through a compiled per-plan kernel."""
 
-    def __init__(self, graph: CSRGraph, plan: MatchingPlan, config: EngineConfig) -> None:
-        if not config.fastpath:
-            raise ValueError("codegen requires fastpath=True")
-        super().__init__(graph, plan, config)
-        kernel = compiled_kernel(plan, config)
+    supports_count_only = True
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        plan: MatchingPlan,
+        config: EngineConfig,
+        pins: dict[int, int] | None = None,
+    ) -> None:
+        super().__init__(graph, plan, config, pins=pins)
+        # the pinned levels shape the emitted source; the pin values are
+        # read from self.pins at run time, so one kernel serves every anchor
+        kernel = compiled_kernel(plan, config, tuple(sorted(self.pins or ())))
         self.kernel = kernel
         self._levels = kernel.levels
+        # optional adjacency-bitmap index for high-degree operand vertices
+        thr = config.bitmap_threshold
+        if thr is not None:
+            self._bitmap: dict[int, np.ndarray] | None = graph.adjacency_bitmap(thr)
+            self._bitmap_in = (
+                graph.reversed_view().adjacency_bitmap(thr)
+                if graph.directed
+                else self._bitmap
+            )
+        else:
+            self._bitmap = None
+            self._bitmap_in = None
         # per-sid label LUT view: generated code indexes by set id, the
-        # interpreter's dict by frozenset — same arrays either way.  On
-        # an unlabeled graph the map stays empty; generated code raises
-        # before touching it (same error as the interpreted path).
+        # reference path's dict by frozenset — same arrays either way.
+        # On an unlabeled graph the map stays empty; generated code
+        # raises before touching it (same error as the reference path).
         self._lut_by_sid = {
             sid: self._label_luts[r.label_filter]
             for sid, r in enumerate(self.program.recipes)
@@ -186,36 +207,57 @@ class CodegenCandidateComputer(CandidateComputer):
         counts: np.ndarray = ent[2][slot_arr]
         return counts
 
-    def self_loops(self) -> np.ndarray:
-        """Boolean per-vertex self-loop mask, cached on the graph.
-
-        The gather-free leaf counts ``x == slot`` exclusions with one
-        gather instead of a per-segment search.  A vertex has ``v`` in
-        ``N_out(v)`` iff it has ``v`` in ``N_in(v)``, so one mask serves
-        outbound and inbound bases alike.  O(E) to build, once per
-        graph object (the graph is a frozen dataclass — same attach
-        idiom as its ``_reversed_cache``).
-        """
-        g = self.graph
-        mask = getattr(g, "_selfloop_mask", None)
-        if mask is None:
-            rows = np.repeat(
-                np.arange(g.num_vertices, dtype=np.int64), np.diff(g.indptr)
-            )
-            mask = np.zeros(g.num_vertices, dtype=bool)
-            mask[rows[g.indices == rows]] = True
-            object.__setattr__(g, "_selfloop_mask", mask)
-        return mask
-
     @property
     def has_self_loops(self) -> bool:
         """Whether the graph has any self-loop (leaves skip the ``x ==
         slot`` correction entirely on simple graphs)."""
         got = self._has_self_loops
         if got is None:
-            got = bool(self.self_loops().any())
+            got = bool(self.graph.self_loops().any())
             self._has_self_loops = got
         return got
+
+    def _bitmap_membership(
+        self,
+        vals: np.ndarray,
+        segs: np.ndarray,
+        position: int,
+        inbound: bool,
+        opv: np.ndarray,
+        opo: np.ndarray | None,
+        slot_arr: np.ndarray,
+        m_prefix: list[int],
+        nslots: int,
+    ) -> np.ndarray | None:
+        """Membership mask via the adjacency-bitmap index, when it applies.
+
+        Returns ``None`` when no bitmap row covers the operand vertex
+        (or the index is disabled) — generated code then falls back to
+        the keyed ``searchsorted``.  Bitmap hits are exact set
+        membership, so results are identical; only host time changes.
+        """
+        bm = self._bitmap_in if inbound else self._bitmap
+        if bm is None or vals.size == 0:
+            return None
+        if opo is None:  # broadcast operand: one invariant vertex
+            row = bm.get(int(m_prefix[position]))
+            return None if row is None else row[vals]
+        hot = [u for u in range(nslots) if int(slot_arr[u]) in bm]
+        if not hot:
+            return None
+        found = np.empty(vals.size, dtype=bool)
+        bounds = np.searchsorted(segs, np.arange(nslots + 1))
+        for u in range(nslots):
+            sl = slice(int(bounds[u]), int(bounds[u + 1]))
+            seg_vals = vals[sl]
+            row = bm.get(int(slot_arr[u]))
+            if row is not None:
+                found[sl] = row[seg_vals]
+            else:
+                found[sl] = membership_batch(
+                    seg_vals, None, opv[opo[u]: opo[u + 1]], None, None
+                )
+        return found
 
     def compute_frame(
         self,

@@ -1,11 +1,12 @@
-"""Per-(query, schedule) kernel source emission.
+"""Per-(query, schedule, pinned levels) kernel source emission.
 
 :func:`emit_kernel_source` turns one :class:`~repro.pattern.plan.
 MatchingPlan` (plus the two config knobs that shape candidate
-computation — ``degree_filter`` and whether a bitmap index exists) into
-a self-contained Python module: one straight-line ``level_{l}``
-function per stack level, each a specialization of
-``CandidateComputer._compute_frame_fast`` with
+computation — ``degree_filter`` and whether a bitmap index exists — and
+the set of pinned levels of an anchored run) into a self-contained
+Python module: one straight-line ``level_{l}`` function per stack
+level, each evaluating the level's set program for the whole unrolled
+batch on segmented ``(values, segments)`` arrays with
 
 * the ``sets_at_level`` loop unrolled into per-recipe blocks,
 * ``BaseKind``/``OpKind`` dispatch and operand indirection resolved at
@@ -14,20 +15,24 @@ function per stack level, each a specialization of
   charge + compaction sequence per operand,
 * label filters, the level label, symmetry floors, and degree needs
   frozen as literals,
-* the count-only leaf emitted as a closed-form ``bincount`` tally.
+* the count-only leaf emitted as a closed-form ``bincount`` tally,
+* at a pinned level, an ``== pin`` term in the fused candidate filter
+  (the pin value is read from ``C.pins`` at run time).
 
-Everything graph-dependent (CSR arrays, label LUTs, slot capacity, the
-bitmap index) is reached through the computer instance ``C`` at run
-time, so the emitted source is **graph-independent** — exactly what
-:func:`codegen_key` promises — and **deterministic**: emitting the same
-plan twice yields byte-identical source (no timestamps, no
-set-iteration order, no object ids).
+Everything graph-dependent (graph reads, label LUTs, slot capacity,
+the bitmap index, pin values) is reached through the computer instance
+``C`` at run time, so the emitted source is **graph-independent** —
+exactly what :func:`codegen_key` promises — and **deterministic**:
+emitting the same plan twice yields byte-identical source (no
+timestamps, no set-iteration order, no object ids).
 
 The charge discipline is absolute: generated code issues the same
-``charge_copy`` / ``charge_set_op`` / spill / ``charge_filter`` calls
-with the same arguments in the same order as the interpreted fast
-path, so simulated cycles, tracer event streams and steal schedules
-are byte-identical.
+``charge_copy`` / ``charge_set_op`` / spill / ``charge_filter`` cycle
+amounts in the same order as the per-slot reference path, so matches,
+simulated cycles, tracer event streams and steal schedules are
+byte-identical.  Graph reads go through the graph's own read API
+(``neighbors_batch``, ``degree``, ``self_loops``), never raw CSR
+arrays, so kernels run unmodified on delta overlays.
 """
 
 from __future__ import annotations
@@ -54,26 +59,38 @@ __all__ = [
 SOURCE_BUDGET_BYTES = 131_072
 
 
-def codegen_key(plan: MatchingPlan, config: EngineConfig) -> tuple[Any, ...]:
+def codegen_key(
+    plan: MatchingPlan, config: EngineConfig, pinned: tuple[int, ...] = ()
+) -> tuple[Any, ...]:
     """Graph-independent cache key for a compiled kernel.
 
-    Keyed like the per-graph plan cache: everything that shapes the
-    emitted source — and nothing that doesn't.  ``plan.order`` is the
-    *resolved* matching order (order selection may have consulted a
-    data graph, but the program is a pure function of the order), so
-    two graphs sharing a query + schedule share one compiled kernel,
-    and process-pool workers re-derive it from the pickled
-    ``(plan, config)`` instead of shipping code objects.
+    Everything that shapes the emitted source — and nothing that
+    doesn't.  ``plan.query`` is already relabeled into matching order,
+    so two graphs sharing a query + schedule share one compiled kernel,
+    as do matching orders that relabel a query to the same structure
+    (the anchored plans of a symmetric query), and process-pool workers
+    re-derive it from the pickled ``(plan, config)`` instead of
+    shipping code objects.  The set program and restrictions are keyed
+    themselves, not just the flags that usually derive them: a plan
+    whose program was rewritten (e.g. the per-label split layout of
+    Fig. 10a) must not reuse the kernel of the plan it came from.
+    ``pinned`` is the sorted tuple of an anchored run's pinned levels:
+    they change the emitted filters, the pin *values* do not.
     """
+    program = plan.program
     return (
         plan.query,
         plan.vertex_induced,
         plan.symmetry_breaking,
         plan.code_motion,
-        tuple(plan.order),
+        tuple(map(tuple, plan.restrictions)),
+        tuple(program.recipes),
+        tuple(program.candidate_of_level),
+        tuple(map(tuple, program.sets_at_level)),
         config.unroll,
         bool(config.degree_filter),
         config.bitmap_threshold is not None,
+        pinned,
     )
 
 
@@ -119,7 +136,9 @@ def _recipe_desc(sid: int, r: SetRecipe) -> str:
     return f"# S{sid} = {desc}"
 
 
-def emit_kernel_source(plan: MatchingPlan, config: EngineConfig) -> str:
+def emit_kernel_source(
+    plan: MatchingPlan, config: EngineConfig, pinned: tuple[int, ...] = ()
+) -> str:
     """Emit the specialized kernel module for ``plan`` (deterministic)."""
     degree_filter = bool(config.degree_filter)
     bitmap_on = config.bitmap_threshold is not None
@@ -127,15 +146,14 @@ def emit_kernel_source(plan: MatchingPlan, config: EngineConfig) -> str:
     w = _Writer()
     w('"""Generated STMatch kernel (repro.codegen) -- DO NOT EDIT.')
     w()
-    w(f"plan: size={plan.size} sets={program.num_sets} order={tuple(plan.order)}")
+    w(f"plan: size={plan.size} sets={program.num_sets}")
     w(f"      induced={plan.vertex_induced} symmetry={plan.symmetry_breaking} "
       f"code_motion={plan.code_motion}")
     w(f"config: unroll={config.unroll} degree_filter={degree_filter} "
-      f"bitmap={bitmap_on}")
+      f"bitmap={bitmap_on} pinned={pinned}")
     w()
-    w("One straight-line function per stack level, specialized from")
-    w("CandidateComputer._compute_frame_fast.  Charges flow through the")
-    w("same Warp methods in the same order as the interpreted backends,")
+    w("One straight-line function per stack level.  Charges flow through")
+    w("the same Warp methods in the same order as the reference path,")
     w("so matches AND simulated cycles are byte-identical.")
     w('"""')
     w("import numpy as np")
@@ -147,7 +165,7 @@ def emit_kernel_source(plan: MatchingPlan, config: EngineConfig) -> str:
     levels = list(range(1, plan.size))
     for level in levels:
         w()
-        _emit_level(w, plan, level, degree_filter, bitmap_on)
+        _emit_level(w, plan, level, degree_filter, bitmap_on, level in pinned)
     w()
     w()
     w("LEVELS = {")
@@ -163,6 +181,7 @@ def _emit_level(
     level: int,
     degree_filter: bool,
     bitmap_on: bool,
+    pinned: bool,
 ) -> None:
     program = plan.program
     recipes = program.recipes
@@ -206,10 +225,11 @@ def _emit_level(
     is_last = level == plan.size - 1
 
     # unfiltered count-only leaves admit two specializations below;
-    # they share the gates: unlabeled, no degree need, no symmetry
-    # floor, and the candidate is the level's only set
+    # they share the gates: unpinned, unlabeled, no degree need, no
+    # symmetry floor, and the candidate is the level's only set
     plain_leaf = (
         is_last
+        and not pinned
         and level >= 2
         and not tiled_candidate
         and sids == [sid_c]
@@ -260,15 +280,14 @@ def _emit_level(
 
     if gather_free:
         base_nm = _operand_name(r_c.base_arg, r_c.base_inbound)
-        iptr_src = "graph.reversed_view()" if r_c.base_inbound else "graph"
+        deg_src = "graph.reversed_view()" if r_c.base_inbound else "graph"
         w("if count_only:", 1)
-        w(f"# gather-free tally: |{base_nm}| per slot straight from CSR", 2)
-        w("# row lengths, used-vertex exclusion by reverse adjacency,", 2)
-        w("# self-loops from a precomputed mask.  The neighbor values", 2)
-        w("# are never materialized; charges are the interpreted", 2)
+        w(f"# gather-free tally: |{base_nm}| per slot straight from the", 2)
+        w("# graph's degrees, used-vertex exclusion by reverse adjacency,", 2)
+        w("# self-loops from the graph's mask.  The neighbor values", 2)
+        w("# are never materialized; charges are the reference", 2)
         w("# path's copy(T), spill(over), filter(T) with identical T.", 2)
-        w(f"iptr = {iptr_src}.indptr", 2)
-        w("lens = (iptr[slot_arr + 1] - iptr[slot_arr]).astype(np.int64)", 2)
+        w(f"lens = {deg_src}.degree(slot_arr)", 2)
         w("total = int(lens.sum())", 2)
         w("if warp is not None:", 2)
         w("warp.charge_copy(total)", 3)
@@ -279,8 +298,9 @@ def _emit_level(
         w("if total:", 3)
         w("warp.charge_filter(total)", 4)
         w("counts = lens", 2)
+        # v ∈ N_out(v) iff v ∈ N_in(v): one mask serves both directions
         w("if C.has_self_loops:", 2)
-        w("counts -= C.self_loops()[slot_arr]", 3)
+        w("counts -= graph.self_loops()[slot_arr]", 3)
         w(f"counts -= C.used_excl(stack, slot_arr, m_prefix, {r_c.base_inbound})", 2)
         w("return counts", 2)
 
@@ -293,13 +313,12 @@ def _emit_level(
         w("# flipped intersection tally: per-slot |base ∩ N(v)| from", 2)
         w("# the computer's per-stack memo (probing the slot's neighbors", 2)
         w("# against the shared sorted base) instead of tiling the base", 2)
-        w("# per slot; charges are the interpreted path's", 2)
+        w("# per slot; charges are the reference path's", 2)
         w("# set_op(|base| * nslots), spill(over), filter(kept) with", 2)
         w("# identical arguments.", 2)
         w(f"ref = stack.frames[{dep_level}].set_instance({r_c.base_arg})", 2)
         w("rsz = int(ref.size)", 2)
-        w(f"iptr = {src}.indptr", 2)
-        w("nb_l = iptr[slot_arr + 1] - iptr[slot_arr]", 2)
+        w(f"nb_l = {src}.degree(slot_arr)", 2)
         w("nb_m = int(nb_l.max()) if nb_l.size else 0", 2)
         w("total = rsz * nslots", 2)
         w("if warp is not None:", 2)
@@ -315,7 +334,7 @@ def _emit_level(
         w("if warp is not None and kept_total:", 2)
         w("warp.charge_filter(kept_total)", 3)
         w("if C.has_self_loops:", 2)
-        w("counts -= member_sorted(ref, slot_arr) & C.self_loops()[slot_arr]", 3)
+        w("counts -= member_sorted(ref, slot_arr) & graph.self_loops()[slot_arr]", 3)
         w(f"for j in C.flip_used(ref, stack, m_prefix, {op.inbound}):", 2)
         w(f"counts -= member_sorted(graph.{adj_fn}(m_prefix[j]), slot_arr)", 3)
         w("return counts", 2)
@@ -367,7 +386,7 @@ def _emit_level(
                 w(f"segs = ref{r.base_arg}_s", 1)
         if not r.ops:
             # explicit neighbor-list copy into C: charged at the
-            # pre-filter size, exactly like the interpreted path
+            # pre-filter size, exactly like the reference path
             w("base_total = int(vals.size)", 1)
             _emit_label_filter(w, sid, r)
             w("if warp is not None:", 1)
@@ -385,8 +404,7 @@ def _emit_level(
                 if bitmap_on:
                     o_arg = f"{nm}_o" if segmented else "None"
                     w(f"found = C._bitmap_membership(vals, segs, {op.position}, "
-                      f"{op.inbound}, {nm}_v, {o_arg}, slot_arr, {mp}, "
-                      f"{level}, nslots)", 1)
+                      f"{op.inbound}, {nm}_v, {o_arg}, slot_arr, {mp}, nslots)", 1)
                     w("if found is None:", 1)
                     w(f"found = member_sorted({hay}, {needles})", 2)
                 else:
@@ -423,7 +441,7 @@ def _emit_level(
     w(f"# candidates for position {level}: S{sid_c}, fused filter", 1)
     if tiled_candidate:
         w(f"ca = stack.frames[{r_c.level}].set_instance({sid_c})", 1)
-        if is_last and level >= 2:
+        if is_last and level >= 2 and not pinned:
             _emit_closed_form_tally(
                 w, restrictions, uses_slot, floor_expr, lab, need, degree_filter
             )
@@ -460,6 +478,8 @@ def _emit_level(
         w(f"keep &= graph.labels[cvals] == {lab}", 2)
     if degree_filter and need > 1:
         w(f"keep &= C._graph_degree[cvals] >= {need}", 2)
+    if pinned:
+        w(f"keep &= cvals == C.pins[{level}]", 2)
     w("if count_only:", 2)
     w("if warp is not None:", 3)
     w("warp.charge_filter(total_filtered)", 4)

@@ -8,17 +8,17 @@ unrolled slots at once, applies merged label filters, and finally
 builds the *filtered* per-slot candidate arrays (injectivity +
 symmetry-breaking floor) the kernel loop iterates.
 
-Two backends share this contract (docs/PERFORMANCE.md):
+There are two tiers (docs/PERFORMANCE.md):
 
-* the **reference path** (``fastpath=False``) evaluates every slot with
-  its own Python loop — the legible Fig. 7 transliteration and the
-  differential-testing oracle;
-* the **fast path** (``fastpath=True``, default) evaluates the whole
-  unrolled batch on segmented ``(values, segments)`` arrays: one CSR
-  gather for all slot neighbor lists, one ``searchsorted`` per set
-  operation, sorted-merge injectivity, per-frame memoized loop-invariant
-  operands, an optional adjacency-bitmap index for hub operands, and a
-  count-only mode that skips materializing last-level candidates.
+* the **reference path** (``fastpath=False``) is this class: every slot
+  is evaluated by its own Python loop — the legible Fig. 7
+  transliteration and the differential-testing oracle;
+* the **fast path** (``fastpath=True``, default) is the compiled tier,
+  :class:`repro.codegen.computer.CodegenCandidateComputer`: a subclass
+  that keeps this class's graph-dependent state (label LUTs, degree
+  table, root candidates, pins) and replaces ``compute_frame`` with
+  Python source emitted per (query, schedule, pinned levels) that runs
+  the whole unrolled batch on segmented ``(values, segments)`` arrays.
 
 Both produce byte-identical matches *and* byte-identical simulated
 cycle charges; only host wall-clock differs.
@@ -31,7 +31,7 @@ import numpy as np
 from repro.codemotion.depgraph import BaseKind, OpKind
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
-from repro.virtgpu.setops import combined_set_op, combined_set_op_batch, membership_batch
+from repro.virtgpu.setops import combined_set_op
 from repro.virtgpu.warp import Warp
 
 from .config import EngineConfig
@@ -63,6 +63,11 @@ class CandidateComputer:
     immutable precomputed state (label lookup tables, the root
     candidate list), so sharing is safe.
     """
+
+    #: whether the kernel may take the count-only last-level leaf: the
+    #: reference path builds real frames so the differential tests can
+    #: compare them; the compiled tier skips materializing them
+    supports_count_only = False
 
     def __init__(
         self,
@@ -117,32 +122,6 @@ class CandidateComputer:
         else:
             self._degree_need = None
             self._graph_degree = None
-        # fast-path state: the vectorized backend and its optional
-        # adjacency-bitmap index for high-degree operand vertices
-        self.fastpath = bool(config.fastpath)
-        thr = config.bitmap_threshold
-        if self.fastpath and thr is not None:
-            self._bitmap: dict[int, np.ndarray] | None = graph.adjacency_bitmap(thr)
-            self._bitmap_in = (
-                graph.reversed_view().adjacency_bitmap(thr)
-                if graph.directed
-                else self._bitmap
-            )
-        else:
-            self._bitmap = None
-            self._bitmap_in = None
-
-    @property
-    def supports_count_only(self) -> bool:
-        """Whether the kernel may take the count-only last-level leaf.
-
-        Only the segmented backends skip materializing last-level
-        candidates; the reference path must build real frames so the
-        differential tests can compare them.  The kernel consults this
-        instead of ``config.fastpath`` so swapped-in computers (the
-        codegen tier) decide for themselves.
-        """
-        return self.fastpath
 
     # -- roots -------------------------------------------------------------
 
@@ -226,16 +205,13 @@ class CandidateComputer:
 
         With ``count_only=True`` (the last-level counting case, Fig. 3
         line 16) the per-slot *filtered candidate counts* are returned
-        as an ``int64`` array instead of a :class:`Frame`; the fast path
-        then skips materializing the last-level candidate arrays
-        entirely.  Cycle charges are identical either way.
+        as an ``int64`` array instead of a :class:`Frame` (the compiled
+        tier then skips materializing the last-level candidate arrays
+        entirely).  Cycle charges are identical either way.
         """
         nslots = int(np.asarray(slot_vertices).size)
         if nslots == 0:
             raise ValueError("a frame needs at least one slot")
-        if self.fastpath:
-            return self._compute_frame_fast(warp, stack, level, slot_vertices,
-                                            count_only=count_only)
         frame = self._compute_frame_ref(warp, stack, level, slot_vertices)
         if count_only:
             return np.asarray([c.size for c in frame.cand], dtype=np.int64)
@@ -312,257 +288,6 @@ class CandidateComputer:
             cand=cand,
             sets=frame_sets,
         )
-
-    # -- vectorized fast path ----------------------------------------------
-
-    def _compute_frame_fast(
-        self,
-        warp: Warp | None,
-        stack: WarpStack,
-        level: int,
-        slot_vertices: np.ndarray,
-        count_only: bool = False,
-    ) -> Frame | np.ndarray:
-        """Segmented backend: the whole unrolled batch per numpy call.
-
-        Candidate data flows as ``(values, segments)`` pairs — all
-        slots' elements in one segment-sorted array.  Charges mirror the
-        reference path call for call (same amounts, same order), so the
-        simulated clock advances bit-identically.
-        """
-        graph = self.graph
-        program = self.program
-        n = graph.num_vertices
-        nslots = int(slot_vertices.size)
-        slot_arr = np.asarray(slot_vertices, dtype=np.int32)
-        m_prefix = stack.match_up_to(level - 1)
-        seg_ids = np.arange(nslots, dtype=np.int64)
-
-        # per-frame operand memo: invariant operands (positions below
-        # level-1, where code motion lifts loop-invariant work) resolve
-        # once per frame; the level-1 operand is one batched CSR gather
-        # shared by every recipe that reads it.  Entries are
-        # (values, offsets) — offsets None means one broadcast array.
-        operand_memo: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray | None]] = {}
-        keys_memo: dict[tuple[int, bool], np.ndarray] = {}
-        base_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-        def operand(position: int, inbound: bool) -> tuple[np.ndarray, np.ndarray | None]:
-            key = (position, inbound)
-            got = operand_memo.get(key)
-            if got is None:
-                if position == level - 1:
-                    g = graph.reversed_view() if inbound else graph
-                    got = g.neighbors_batch(slot_arr)
-                else:
-                    v = m_prefix[position]
-                    nb = graph.in_neighbors(v) if inbound else graph.neighbors(v)
-                    got = (nb, None)
-                operand_memo[key] = got
-            return got
-
-        def keyed_membership(vals, segs, position, inbound, opv, opo):
-            """Memoized keyed-searchsorted membership for segmented operands."""
-            key = (position, inbound)
-            k = keys_memo.get(key)
-            if k is None:
-                op_seg = np.repeat(seg_ids, opo[1:] - opo[:-1])
-                k = op_seg * n + opv.astype(np.int64)
-                keys_memo[key] = k
-            if k.size == 0 or vals.size == 0:
-                return np.zeros(vals.shape, dtype=bool)
-            val_keys = segs * n + vals.astype(np.int64)
-            pos = np.searchsorted(k, val_keys)
-            np.minimum(pos, k.size - 1, out=pos)
-            return k[pos] == val_keys
-
-        def label_filter_seg(vals, segs, flt):
-            if flt is None or vals.size == 0:
-                return vals, segs
-            if graph.labels is None:
-                raise ValueError("labeled plan on unlabeled data graph")
-            keep = self._label_luts[flt][graph.labels[vals]]
-            return vals[keep], segs[keep]
-
-        frame_seg: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        cap = self.slot_capacity
-        for sid in program.sets_at_level[level]:
-            r = program.recipes[sid]
-            if r.base is BaseKind.NEIGHBORS:
-                bkey = ("N", r.base_arg, r.base_inbound)
-                got = base_memo.get(bkey)
-                if got is None:
-                    bvals, boffs = operand(r.base_arg, r.base_inbound)
-                    if boffs is None:
-                        got = (np.tile(bvals, nslots),
-                               np.repeat(seg_ids, bvals.size))
-                    else:
-                        got = (bvals, np.repeat(seg_ids, boffs[1:] - boffs[:-1]))
-                    base_memo[bkey] = got
-                vals, segs = got
-            elif r.base is BaseKind.REF:
-                dep = program.recipes[r.base_arg]
-                if dep.level == level:
-                    vals, segs = frame_seg[r.base_arg]
-                else:
-                    bkey = ("R", r.base_arg)
-                    got = base_memo.get(bkey)
-                    if got is None:
-                        arr = stack.frames[dep.level].set_instance(r.base_arg)
-                        got = (np.tile(arr, nslots),
-                               np.repeat(seg_ids, arr.size))
-                        base_memo[bkey] = got
-                    vals, segs = got
-            else:  # ALL only appears at level 0, handled by root_frame
-                raise AssertionError("ALL base outside the root frame")
-            if not r.ops:
-                base_total = int(vals.size)
-                vals, segs = label_filter_seg(vals, segs, r.label_filter)
-                if warp is not None:
-                    warp.charge_copy(base_total)
-            else:
-                for op in r.ops:
-                    opv, opo = operand(op.position, op.inbound)
-                    found = self._bitmap_membership(
-                        vals, segs, op.position, op.inbound,
-                        opv, opo, slot_arr, m_prefix, level, nslots,
-                    )
-                    if found is None and opo is not None:
-                        found = keyed_membership(vals, segs, op.position,
-                                                 op.inbound, opv, opo)
-                    vals, segs = combined_set_op_batch(
-                        warp, vals, segs, opv, opo,
-                        difference=op.kind is OpKind.DIFFERENCE,
-                        stride=n, found=found,
-                    )
-                vals, segs = label_filter_seg(vals, segs, r.label_filter)
-            if warp is not None and vals.size > cap:
-                # only possible to spill when the whole batch outgrows one slot
-                counts = np.bincount(segs, minlength=nslots)
-                over = int(np.maximum(counts - cap, 0).sum())
-                if over:
-                    warp.charge(warp.cost.host_access * warp.cost.rounds(over))
-            frame_seg[sid] = (vals, segs)
-
-        # filtered candidates for position `level`, all slots at once
-        sid_c = program.candidate_of_level[level]
-        r_c = program.recipes[sid_c]
-        if r_c.level == level:
-            cvals, csegs = frame_seg[sid_c]
-        else:
-            arr = stack.frames[r_c.level].set_instance(sid_c)
-            cvals = np.tile(arr, nslots)
-            csegs = np.repeat(seg_ids, arr.size)
-        total_filtered = int(cvals.size)
-        if total_filtered:
-            # fused filtering: the level label, degree need, symmetry
-            # floor and injectivity are independent elementwise
-            # predicates, so one combined mask replaces the reference
-            # path's four sequential compactions (same surviving set)
-            slot_of = slot_arr[csegs]
-            restrictions = self.plan.restrictions[level]
-            if restrictions:
-                # per-slot symmetry floor: invariant part from the
-                # prefix, plus the slot's vertex when level-1 is restricted
-                base_floor = -1
-                uses_slot = False
-                for i in restrictions:
-                    if i == level - 1:
-                        uses_slot = True
-                    elif m_prefix[i] > base_floor:
-                        base_floor = m_prefix[i]
-                if uses_slot:
-                    floors = np.maximum(slot_of.astype(np.int64), base_floor)
-                    keep = cvals > floors
-                else:
-                    keep = cvals > base_floor
-            else:
-                keep = None
-            # injectivity by sorted-merge membership (no np.isin): the
-            # prefix is shared by all slots, the slot vertex varies
-            if m_prefix:
-                used = np.sort(np.asarray(m_prefix, dtype=cvals.dtype))
-                pos = np.searchsorted(used, cvals)
-                np.minimum(pos, used.size - 1, out=pos)
-                hit = used[pos] == cvals
-                hit |= cvals == slot_of
-            else:
-                hit = cvals == slot_of
-            np.logical_not(hit, out=hit)
-            keep = hit if keep is None else (keep & hit)
-            lab = self._level_label[level]
-            if lab is not None:
-                keep &= graph.labels[cvals] == lab
-            if self._degree_need is not None:
-                need = self._degree_need[level]
-                if need > 1:
-                    keep &= self._graph_degree[cvals] >= need
-            if self.pins is not None:
-                pin = self.pins.get(level)
-                if pin is not None:
-                    keep &= cvals == pin
-            if count_only:
-                if warp is not None:
-                    warp.charge_filter(total_filtered)
-                counts = np.bincount(csegs[keep], minlength=nslots)
-                return counts.astype(np.int64)
-            cvals, csegs = cvals[keep], csegs[keep]
-        if warp is not None and total_filtered:
-            warp.charge_filter(total_filtered)
-        if count_only:
-            return np.zeros(nslots, dtype=np.int64)
-        return Frame(
-            level=level,
-            slot_vertices=slot_arr,
-            cand=_split_segments(cvals, csegs, nslots),
-            sets={
-                sid: _split_segments(v, s, nslots)
-                for sid, (v, s) in frame_seg.items()
-            },
-        )
-
-    def _bitmap_membership(
-        self,
-        vals: np.ndarray,
-        segs: np.ndarray,
-        position: int,
-        inbound: bool,
-        opv: np.ndarray,
-        opo: np.ndarray | None,
-        slot_arr: np.ndarray,
-        m_prefix: list[int],
-        level: int,
-        nslots: int,
-    ) -> np.ndarray | None:
-        """Membership mask via the adjacency-bitmap index, when it applies.
-
-        Returns ``None`` when no bitmap row covers the operand vertex
-        (or the index is disabled) — the caller then falls back to the
-        keyed ``searchsorted``.  Bitmap hits are exact set membership,
-        so results are identical; only host time changes.
-        """
-        bm = self._bitmap_in if inbound else self._bitmap
-        if bm is None or vals.size == 0:
-            return None
-        if opo is None:  # broadcast operand: one invariant vertex
-            row = bm.get(int(m_prefix[position]))
-            return None if row is None else row[vals]
-        hot = [u for u in range(nslots) if int(slot_arr[u]) in bm]
-        if not hot:
-            return None
-        found = np.empty(vals.size, dtype=bool)
-        bounds = np.searchsorted(segs, np.arange(nslots + 1))
-        for u in range(nslots):
-            sl = slice(int(bounds[u]), int(bounds[u + 1]))
-            seg_vals = vals[sl]
-            row = bm.get(int(slot_arr[u]))
-            if row is not None:
-                found[sl] = row[seg_vals]
-            else:
-                found[sl] = membership_batch(
-                    seg_vals, None, opv[opo[u]: opo[u + 1]], None, None
-                )
-        return found
 
     def _filter_candidates(
         self, raw: np.ndarray, level: int, m_prefix: list[int], slot_vertex: int

@@ -74,17 +74,19 @@ class EngineConfig:
     #   disjointness, conservation and frame invariants; raises
     #   SanitizerError instead of silently corrupting counts
     fastpath: bool = True
-    #   vectorized getCandidates backend (docs/PERFORMANCE.md): batched
-    #   CSR gathers, one segmented searchsorted per set operation,
-    #   sorted-merge filtering and count-only leaves.  Semantics- and
-    #   cost-model-preserving: match counts and simulated cycles are
-    #   byte-identical to the per-slot reference path (property-tested);
-    #   only host wall-clock changes.  False selects the reference path.
+    #   the compiled getCandidates tier (repro.codegen,
+    #   docs/PERFORMANCE.md): Python source emitted and exec'd per
+    #   (query, schedule, pinned levels), cached process-wide, running
+    #   the whole unrolled batch per NumPy call with count-only leaves.
+    #   Semantics- and cost-model-preserving: matches, simulated cycles,
+    #   steal schedules and tracer streams are byte-identical to the
+    #   per-slot reference path (tests/test_codegen_identity.py); only
+    #   host wall-clock changes.  False selects the reference path.
     bitmap_threshold: int | None = None
     #   optional adjacency bitmap index (GSI-style): vertices whose
     #   degree reaches the threshold get dense boolean adjacency rows so
     #   hot operand membership tests are O(1) lookups on the host.
-    #   None disables the index; only the fastpath consults it, and the
+    #   None disables the index; only the fast path consults it, and the
     #   simulated binary-search charges are unchanged either way.
     checkpoint_interval: int | None = None
     #   stack checkpointing (repro.core.checkpoint): snapshot the whole
@@ -117,16 +119,6 @@ class EngineConfig:
     #   non-empty detail (completed shards keep their results) and are
     #   re-queued onto surviving shards' devices — never a hang.
     #   None (default) waits indefinitely, matching serial semantics.
-    codegen: bool = False
-    #   compiled per-query kernel tier (repro.codegen): specialize the
-    #   fast-path getCandidates per (query, schedule) by emitting and
-    #   exec-ing Python source with the plan's set ops inlined and all
-    #   constants frozen, cached in a graph-independent process-wide
-    #   LRU.  Semantics- and cost-model-preserving like fastpath itself:
-    #   matches, simulated cycles, steal schedules and tracer streams
-    #   are byte-identical (tests/test_codegen_identity.py); only host
-    #   wall-clock changes.  Requires fastpath=True; the REPRO_CODEGEN
-    #   env var overrides at resolution time for CI matrices.
     graph_backend: str = "memory"
     #   graph residency backend (repro.scale.backend): "memory" keeps
     #   the CSR arrays in RAM; "memmap" spills them once to an on-disk
@@ -184,11 +176,6 @@ class EngineConfig:
         if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
             raise ValueError(
                 "worker_timeout_s must be > 0 seconds (or None to wait forever)"
-            )
-        if self.codegen and not self.fastpath:
-            raise ValueError(
-                "codegen specializes the fastpath backend and requires "
-                "fastpath=True (the reference path stays interpreted)"
             )
         if self.graph_backend not in ("memory", "memmap"):
             raise ValueError(

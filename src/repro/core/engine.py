@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.codegen.cache import LRUCache, resolve_codegen
+from repro.codegen.cache import LRUCache
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan, build_plan
 from repro.pattern.query import QueryGraph
@@ -210,8 +210,9 @@ class STMatchEngine:
         ``(u, v)``): a pinned level's candidate set is intersected with
         the pin after every regular filter.  The batch-dynamic layer
         (:mod:`repro.dynamic`) uses this to count only the matches
-        through a changed edge.  Pins force the interpreted candidate
-        backend (the codegen tier compiles pin-free kernels).
+        through a changed edge.  Pinned runs use the same tier as
+        unpinned ones: the fast path compiles a kernel per set of pinned
+        levels and reads the pin values at run time.
 
         ``resume_from`` continues a checkpointed launch (see
         ``EngineConfig.checkpoint_interval``) instead of starting over.
@@ -343,19 +344,12 @@ class STMatchEngine:
         cfg: EngineConfig,
         pins: dict[int, int] | None = None,
     ) -> CandidateComputer:
-        """Pick the candidate backend: interpreted, or the compiled tier.
-
-        Codegen rides on the fast path only — with ``fastpath=False``
-        the reference interpreter always runs, even under
-        ``REPRO_CODEGEN=1`` (the env override must never flip a
-        reference-path differential test onto generated code).  Pinned
-        (anchored) runs always interpret: the emitted per-plan modules
-        freeze a pin-free candidate pipeline.
-        """
-        if pins is None and cfg.fastpath and resolve_codegen(cfg):
+        """Pick the candidate tier: the compiled fast path, or the
+        per-slot reference path (``fastpath=False``)."""
+        if cfg.fastpath:
             from repro.codegen.computer import CodegenCandidateComputer
 
-            return CodegenCandidateComputer(self.graph, plan, cfg)
+            return CodegenCandidateComputer(self.graph, plan, cfg, pins=pins)
         return CandidateComputer(self.graph, plan, cfg, pins=pins)
 
     def _build_report(

@@ -135,7 +135,6 @@ def _anchor_config(config: EngineConfig) -> EngineConfig:
         sanitize=False,
         checkpoint_interval=None,
         max_results=None,
-        codegen=False,
         executor="serial",
         device=DeviceConfig(num_blocks=1, warps_per_block=1),
     )

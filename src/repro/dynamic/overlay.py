@@ -381,6 +381,11 @@ class OverlayGraph:
             return deg
         return deg[v]
 
+    def self_loops(self) -> np.ndarray:
+        # a delta never carries a self-loop arc (checked at
+        # construction), so the overlay's self-loops are the base's
+        return self.base.self_loops()
+
     def neighbors(self, v: int) -> np.ndarray:
         v = int(v)
         if not self._touched[v]:

@@ -236,6 +236,22 @@ class CSRGraph:
             return deg
         return deg[v]
 
+    def self_loops(self) -> np.ndarray:
+        """Boolean per-vertex mask of ``v ∈ N(v)``, cached (read-only).
+
+        :meth:`from_edges` drops self-loops, but directly wrapped CSR
+        arrays may carry them.
+        """
+        mask = getattr(self, "_selfloop_cache", None)
+        if mask is None:
+            rows = np.repeat(
+                np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
+            )
+            mask = np.zeros(self.num_vertices, dtype=bool)
+            mask[rows[self.indices == rows]] = True
+            object.__setattr__(self, "_selfloop_cache", mask)
+        return mask
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor list of ``v`` (a zero-copy CSR slice)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

@@ -57,7 +57,6 @@ def _config_dict(config: Any) -> dict[str, Any]:
         "global_steal": config.global_steal,
         "code_motion": config.code_motion,
         "fastpath": config.fastpath,
-        "codegen": config.codegen,
         "max_results": config.max_results,
         "checkpoint_interval": config.checkpoint_interval,
     }

@@ -18,7 +18,7 @@ and the simulation is deterministic, so executing shards in worker
 processes changes *which OS process* computes each result and nothing
 else — matches, cycles, steal schedules, ``RunStatus``, obs reports
 and recovery trails are byte-identical (pinned by
-``tests/test_parallel_identity.py``).  The compiled codegen tier keeps
+``tests/test_parallel_identity.py``).  The compiled fast tier keeps
 this property for free: kernels are never pickled — each worker
 re-derives them from the shipped ``(plan, config)`` through its own
 process-wide code cache (``repro.codegen.compile.compiled_kernel``),

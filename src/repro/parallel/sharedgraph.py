@@ -12,7 +12,9 @@ Lifecycle
 ---------
 * The parent owns the segments: :func:`export_graph` creates them on
   first use per graph object and caches the handle, so repeated
-  multi-GPU calls over the same graph ship only segment *names*.
+  multi-GPU calls over the same graph ship only segment *names*.  The
+  check-then-create runs under a module lock: serve threads exporting
+  one fresh graph version at once share one export.
   Segments are unlinked when the graph is garbage-collected and, as a
   backstop, at interpreter exit.
 * Workers attach lazily and cache per export token, so a persistent
@@ -31,6 +33,7 @@ Lifecycle
 from __future__ import annotations
 
 import atexit
+import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -123,21 +126,27 @@ class _Export:
 # parent side: one export per live graph object (keyed by id; the
 # weakref finalizer retires the entry before the id can be reused)
 _EXPORTS: dict[int, _Export] = {}
+# reentrant: a finalizer run by garbage collection inside the locked
+# section (on the same thread) must not deadlock
+_EXPORTS_LOCK = threading.RLock()
 
 
 def _release(graph_id: int) -> None:
-    export = _EXPORTS.pop(graph_id, None)
+    with _EXPORTS_LOCK:
+        export = _EXPORTS.pop(graph_id, None)
     if export is not None:
         export.close()
 
 
 def export_graph(graph: CSRGraph) -> SharedGraphHandle:
-    """Export ``graph`` into shared memory (idempotent per object)."""
-    export = _EXPORTS.get(id(graph))
-    if export is None:
-        export = _Export(graph)
-        _EXPORTS[id(graph)] = export
-        weakref.finalize(graph, _release, id(graph))
+    """Export ``graph`` into shared memory (idempotent per object,
+    thread-safe)."""
+    with _EXPORTS_LOCK:
+        export = _EXPORTS.get(id(graph))
+        if export is None:
+            export = _Export(graph)
+            _EXPORTS[id(graph)] = export
+            weakref.finalize(graph, _release, id(graph))
     return export.handle
 
 

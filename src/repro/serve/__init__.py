@@ -14,7 +14,7 @@ on top of the process execution backend:
 * :mod:`repro.serve.service` — admission control (bounded queue,
   per-tenant limits), deadline propagation, seeded retry/backoff,
   idempotency (exactly-once counting across request retries, X511),
-  the degradation ladder (codegen → interpreted → budget-truncated)
+  the degradation ladder (pool → in-thread → budget-truncated)
   and versioned graph hosting, including batch edits
   (``apply_edits``) that patch cached counts forward incrementally.
 * :mod:`repro.serve.breaker` — the circuit breaker around the process

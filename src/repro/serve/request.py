@@ -15,8 +15,8 @@ story in three orthogonal fields:
     version the response names.  A budget-truncated partial count is a
     served response (``OK``) that is *not* exact.
 ``degraded``
-    Whether the service stepped down the execution ladder (codegen →
-    interpreted → budget-truncated) to produce the answer; ``detail``
+    Whether the service stepped down the execution ladder (pool →
+    in-thread → budget-truncated) to produce the answer; ``detail``
     says why.  A client can therefore never mistake a partial or
     degraded count for an exact one: :attr:`MatchResponse.countable`
     is the one bit the chaos harness audits against golden counts.

@@ -18,9 +18,10 @@ from client threads.  The execution pipeline, in order:
 4. **Execution ladder** — rung 0 runs the configured path (the process
    pool when ``executor="process"``, guarded by the circuit breaker,
    with seeded retry + exponential backoff on pool-infrastructure
-   failures); rung 1 steps down to an interpreted in-thread run; rung
-   2 additionally truncates the exploration budget.  Every stepped-down
-   answer is marked ``degraded=True`` with the reason in ``detail``.
+   failures); rung 1 steps down to an in-thread run on the same
+   candidate tier; rung 2 additionally truncates the exploration
+   budget.  Every stepped-down answer is marked ``degraded=True``
+   with the reason in ``detail``.
 5. **Commit** — served responses with an idempotency key commit into
    the service :class:`~repro.faults.recovery.RecoveryLedger` exactly
    once (X506 across request boundaries); the bounded window evicts
@@ -534,8 +535,6 @@ class MatchService:
                 "deadline expired before execution could start", t0)
         if level >= 2:
             cfg = cfg.with_budget(self._degrade_budget)
-        if level >= 1:
-            cfg = cfg.with_(codegen=False)
         run = self._run_inline(graph, plan, cfg, token)
         attempts += 1
         degraded = level > 0

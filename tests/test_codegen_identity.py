@@ -1,17 +1,18 @@
-"""The compiled codegen tier's contract: byte-identical everything.
+"""The compiled fast tier's contract: byte-identical everything.
 
-``EngineConfig.codegen`` swaps the interpreted plan-IR fast path for a
-per-(query, schedule) emitted Python module (``repro.codegen``).  The
-generated kernels must issue identical cycle charges in identical
-order, so every observable — match count, simulated cycle total, run
-status, steal counts, budget truncation point — is byte-identical
-across all three backends (reference, interpreted fastpath, codegen).
-These tests pin that 3-way identity over the paper's q1–q13 ×
-labeled/unlabeled × unroll factors, check engine counts against the
-golden-count oracle fixture, exercise the sanitizer and the process
-executor under the compiled tier, and pin the infrastructure itself:
-deterministic re-emission, the plan-keyed LRU code cache, the B408
-source-budget lint and the ``REPRO_CODEGEN`` override.
+``EngineConfig.fastpath=True`` runs ``getCandidates`` through a
+per-(query, schedule, pinned levels) emitted Python module
+(``repro.codegen``); ``fastpath=False`` runs the per-slot reference
+path.  The generated kernels must issue identical cycle charges in
+identical order, so every observable — match count, simulated cycle
+total, run status, steal counts, budget truncation point — is
+byte-identical across the two tiers.  These tests pin that identity
+over the paper's q1–q13 × labeled/unlabeled × unroll factors, check
+engine counts against the golden-count oracle fixture, exercise the
+sanitizer and the process executor under the compiled tier, and pin
+the infrastructure itself: deterministic re-emission, the plan-keyed
+LRU code cache (pinned and unpinned kernels kept apart) and the B408
+source-budget lint.
 """
 
 import os
@@ -22,7 +23,7 @@ import pytest
 from repro import EngineConfig, STMatchEngine
 from repro.analysis.budget import lint_budget
 from repro.analysis.diagnostics import RULE_REGISTRY
-from repro.codegen import LRUCache, resolve_codegen
+from repro.codegen import LRUCache
 from repro.codegen.compile import (
     clear_code_cache,
     code_cache_stats,
@@ -43,11 +44,11 @@ QUERY_NAMES = [f"q{i}" for i in range(1, 14)]
 
 @pytest.fixture(scope="module", autouse=True)
 def _controlled_backend():
-    """The A/B below sets codegen/executor explicitly: neutralize
+    """The A/B below sets the tier/executor explicitly: neutralize
     CI-matrix env overrides for this module, and drop worker pools
     afterwards."""
     saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_CODEGEN", "REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
+             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
     yield
     for k, v in saved.items():
         if v is not None:
@@ -74,24 +75,23 @@ def _fingerprint(res):
             res.num_local_steals, res.num_global_steals)
 
 
-def _run_three_way(graph, query, **cfg_kw):
-    """Reference, interpreted fastpath, and codegen runs of one cell."""
+def _run_two_way(graph, query, **cfg_kw):
+    """Reference and compiled fast-tier runs of one cell."""
     ref = STMatchEngine(
         graph, EngineConfig(fastpath=False, **cfg_kw)).run(query)
     fast = STMatchEngine(
         graph, EngineConfig(fastpath=True, **cfg_kw)).run(query)
-    cg = STMatchEngine(
-        graph, EngineConfig(fastpath=True, codegen=True, **cfg_kw)).run(query)
-    return ref, fast, cg
+    return ref, fast
 
 
-def _assert_three_way(ref, fast, cg):
+def _assert_two_way(ref, fast):
     assert _fingerprint(ref) == _fingerprint(fast)
-    assert _fingerprint(fast) == _fingerprint(cg)
 
 
 class TestThreeWayIdentity:
-    """q1–q13 × labeling: reference == fastpath == codegen."""
+    """q1–q13 × labeling: reference == fast.  (The class name predates
+    the deletion of the interpreted fast tier; it is kept so test ids
+    stay stable.)"""
 
     @pytest.mark.parametrize("qname", QUERY_NAMES)
     @pytest.mark.parametrize("labeled", [False, True],
@@ -101,37 +101,37 @@ class TestThreeWayIdentity:
         q = QUERIES[qname]
         if labeled:
             g, q = _labeled_pair(g, q)
-        _assert_three_way(*_run_three_way(g, q, max_results=40_000))
+        _assert_two_way(*_run_two_way(g, q, max_results=40_000))
 
     @pytest.mark.parametrize("unroll", [1, 4, 8])
     def test_unroll_factors(self, unroll):
         g = _random_graph(22, 0.35, seed=5)
         for qname in ("q2", "q4", "q7"):
-            _assert_three_way(
-                *_run_three_way(g, QUERIES[qname], unroll=unroll))
+            _assert_two_way(
+                *_run_two_way(g, QUERIES[qname], unroll=unroll))
 
     def test_vertex_induced(self):
         g = _random_graph(20, 0.4, seed=3)
         q = QUERIES["q4"]
         runs = [
-            STMatchEngine(g, EngineConfig(fastpath=fp, codegen=cg)).run(
+            STMatchEngine(g, EngineConfig(fastpath=fp)).run(
                 q, vertex_induced=True)
-            for fp, cg in ((False, False), (True, False), (True, True))
+            for fp in (False, True)
         ]
-        _assert_three_way(*runs)
+        _assert_two_way(*runs)
 
     def test_sanitizer_on(self):
         # the runtime sanitizer observes the same steal protocol either way
         g = _random_graph(24, 0.3, seed=9)
         for qname in ("q1", "q5"):
-            _assert_three_way(
-                *_run_three_way(g, QUERIES[qname], sanitize=True,
-                                max_results=40_000))
+            _assert_two_way(
+                *_run_two_way(g, QUERIES[qname], sanitize=True,
+                              max_results=40_000))
 
     def test_budget_truncation_point(self):
         # identical charge order means identical truncation under budget
         g = _random_graph(24, 0.35, seed=13)
-        _assert_three_way(*_run_three_way(g, QUERIES["q5"], max_results=500))
+        _assert_two_way(*_run_two_way(g, QUERIES["q5"], max_results=500))
 
 
 class TestGoldenCounts:
@@ -156,7 +156,7 @@ class TestGoldenCounts:
         if mode == "labeled":
             g, q = oracle.labeled_pair(g, q)
         res = STMatchEngine(
-            g, EngineConfig(fastpath=True, codegen=True)).run(q)
+            g, EngineConfig(fastpath=True)).run(q)
         assert res.status == RunStatus.OK, repr(res)
         assert res.matches == fixture["counts"][gname][mode][qname]
 
@@ -170,12 +170,11 @@ class TestProcessExecutor:
         g = oracle.corpus_graphs()["sparse"]
         q = QUERIES["q5"]
         serial = run_multi_gpu(
-            g, q, 2, EngineConfig(fastpath=True, codegen=True,
-                                  executor="serial"))
+            g, q, 2, EngineConfig(fastpath=True, executor="serial"))
         process = run_multi_gpu(
-            g, q, 2, EngineConfig(fastpath=True, codegen=True,
-                                  executor="process", num_workers=2))
-        baseline = run_multi_gpu(g, q, 2, EngineConfig(fastpath=True))
+            g, q, 2, EngineConfig(fastpath=True, executor="process",
+                                  num_workers=2))
+        baseline = run_multi_gpu(g, q, 2, EngineConfig(fastpath=False))
         assert serial.ok
         assert process.matches == serial.matches == baseline.matches
         assert process.sim_ms == serial.sim_ms == baseline.sim_ms
@@ -187,7 +186,7 @@ class TestProcessExecutor:
 class TestEmissionDeterminism:
     def test_reemit_is_byte_identical(self):
         g = _random_graph(26, 0.3, seed=11)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(fastpath=True)
         for qname in QUERY_NAMES:
             plan = cached_plan(g, QUERIES[qname])
             first = emit_kernel_source(plan, cfg)
@@ -198,7 +197,7 @@ class TestEmissionDeterminism:
         # one cache key, one emitted module
         g1 = _random_graph(26, 0.3, seed=11)
         g2 = _random_graph(40, 0.2, seed=23)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(fastpath=True)
         p1 = cached_plan(g1, QUERIES["q5"])
         p2 = cached_plan(g2, QUERIES["q5"], order=tuple(p1.order))
         assert codegen_key(p1, cfg) == codegen_key(p2, cfg)
@@ -217,7 +216,7 @@ class TestCodeCache:
     def test_compile_once_then_hit(self):
         g = _random_graph(26, 0.3, seed=11)
         plan = cached_plan(g, QUERIES["q2"])
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(fastpath=True)
         clear_code_cache(reset_stats=True)
         k1 = compiled_kernel(plan, cfg)
         k2 = compiled_kernel(plan, cfg)
@@ -227,6 +226,44 @@ class TestCodeCache:
         assert stats["misses"] == 1
         assert stats["size"] == 1
         clear_code_cache(reset_stats=True)
+
+    def test_pinned_and_unpinned_kernels_never_share_an_entry(self):
+        g = _random_graph(26, 0.3, seed=11)
+        plan = cached_plan(g, QUERIES["q4"])
+        cfg = EngineConfig(fastpath=True)
+        variants = [(), (0,), (1,), (0, 1), (2,)]
+        clear_code_cache(reset_stats=True)
+        kernels = [compiled_kernel(plan, cfg, p) for p in variants]
+        assert len({k.key for k in kernels}) == len(variants)
+        assert code_cache_stats()["size"] == len(variants)
+        assert "C.pins[1]" in emit_kernel_source(plan, cfg, (1,))
+        assert "C.pins" not in emit_kernel_source(plan, cfg)
+        # pin values are read at run time: one kernel per pinned-level set
+        eng = STMatchEngine(g, cfg)
+        for pins in ({1: 3}, {1: 7}, {0: 2, 1: 5}):
+            eng.run(plan, pins=pins)
+        assert code_cache_stats()["size"] == len(variants)
+        clear_code_cache(reset_stats=True)
+
+    def test_rewritten_program_gets_its_own_kernel(self):
+        # the per-label split layout (Fig. 10a) keeps query, order and
+        # flags but rewrites the set program: it must not reuse the
+        # kernel compiled for the merged plan it came from
+        import dataclasses
+
+        from repro.codemotion import split_labeled_program
+
+        g, q = _labeled_pair(_random_graph(24, 0.35, seed=5), QUERIES["q5"])
+        cfg = EngineConfig(fastpath=True)
+        merged = cached_plan(g, q)
+        split = dataclasses.replace(
+            merged, program=split_labeled_program(merged.program, merged.query))
+        assert split.num_sets > merged.num_sets
+        assert codegen_key(merged, cfg) != codegen_key(split, cfg)
+        STMatchEngine(g, cfg).run(merged)  # compiles the merged kernel first
+        fast = STMatchEngine(g, cfg).run(split)
+        ref = STMatchEngine(g, EngineConfig(fastpath=False)).run(split)
+        assert _fingerprint(fast) == _fingerprint(ref)
 
     def test_lru_counts_and_evicts(self):
         lru = LRUCache(2, name="t")
@@ -242,7 +279,7 @@ class TestCodeCache:
 
     def test_plan_cache_counters_exposed(self):
         g = _random_graph(20, 0.3, seed=17)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(fastpath=True)
         before = plan_cache_stats(g)["hits"]
         eng = STMatchEngine(g, cfg)
         eng.run(QUERIES["q1"])
@@ -254,7 +291,7 @@ class TestCodeCache:
     def test_observed_report_carries_cache_counters(self):
         g = _random_graph(20, 0.3, seed=17)
         res = STMatchEngine(
-            g, EngineConfig(fastpath=True, codegen=True, observe=True)
+            g, EngineConfig(fastpath=True, observe=True)
         ).run(QUERIES["q1"])
         caches = res.report["caches"]
         for name in ("plan", "codegen"):
@@ -266,10 +303,6 @@ class TestCodeCache:
 
 
 class TestConfigAndLint:
-    def test_codegen_requires_fastpath(self):
-        with pytest.raises(ValueError, match="fastpath"):
-            EngineConfig(fastpath=False, codegen=True)
-
     def test_b408_registered_and_fires(self, monkeypatch):
         assert "B408" in RULE_REGISTRY
         g = _random_graph(20, 0.3, seed=17)
@@ -282,36 +315,3 @@ class TestConfigAndLint:
         monkeypatch.setattr(emit, "SOURCE_BUDGET_BYTES", 16)
         noisy = lint_budget(plan, cfg, g)
         assert "B408" in [d.rule for d in noisy.diagnostics]
-
-    @pytest.mark.parametrize("raw,expect", [
-        ("1", True), ("true", True), ("ON", True),
-        ("0", False), ("no", False), ("", None), (None, None),
-    ])
-    def test_repro_codegen_env_resolution(self, monkeypatch, raw, expect):
-        if raw is None:
-            monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_CODEGEN", raw)
-        cfg = EngineConfig(fastpath=True, codegen=True)
-        off = EngineConfig(fastpath=True, codegen=False)
-        if expect is None:  # defer to the config
-            assert resolve_codegen(cfg) is True
-            assert resolve_codegen(off) is False
-        else:
-            assert resolve_codegen(cfg) is expect
-            assert resolve_codegen(off) is expect
-
-    def test_repro_codegen_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "maybe")
-        with pytest.raises(ValueError, match="REPRO_CODEGEN"):
-            resolve_codegen(EngineConfig(fastpath=True))
-
-    def test_env_override_flips_backend(self, monkeypatch):
-        # REPRO_CODEGEN=1 turns the compiled tier on without touching
-        # call sites — and the results stay identical by contract
-        g = _random_graph(22, 0.3, seed=19)
-        q = QUERIES["q3"]
-        plain = STMatchEngine(g, EngineConfig(fastpath=True)).run(q)
-        monkeypatch.setenv("REPRO_CODEGEN", "1")
-        forced = STMatchEngine(g, EngineConfig(fastpath=True)).run(q)
-        assert _fingerprint(plain) == _fingerprint(forced)

@@ -151,3 +151,33 @@ class TestEngineOnOverlay:
         assert a.matches == b.matches
         assert a.cycles == b.cycles  # identical storage-level schedule
         assert a.status == b.status
+
+
+class TestFastTierOnOverlay:
+    """The compiled fast tier reads the overlay through the graph API.
+
+    Its count-only leaves take row lengths from ``degree`` and the
+    self-loop mask from ``self_loops``; reading the base CSR arrays
+    instead miscounts (gather-free leaf) and mischarges (flipped
+    intersection leaf) on touched rows.  A skewed graph with many
+    edits makes both leaves hit touched rows.
+    """
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from repro.graph.generators import powerlaw_cluster
+
+        g = powerlaw_cluster(60, 5, 0.3, seed=3)
+        ov = OverlayGraph.from_edits(g, _random_batch(g, 7, nd=15, ni=15))
+        assert ov.num_delta_arcs == 60
+        return ov, ov.compact()
+
+    @pytest.mark.parametrize("qname", [f"q{i}" for i in range(1, 9)])
+    def test_overlay_equals_compacted_across_tiers(self, graphs, qname):
+        ov, compacted = graphs
+        q = QUERIES[qname]
+        ref = STMatchEngine(compacted, EngineConfig(fastpath=False)).run(q)
+        for graph in (ov, compacted):
+            fast = STMatchEngine(graph, EngineConfig(fastpath=True)).run(q)
+            assert (fast.matches, fast.cycles, fast.status) == \
+                (ref.matches, ref.cycles, ref.status), graph.name

@@ -304,3 +304,45 @@ def test_b407_warns_when_workers_exceed_chunks(graphs):
     serial = EngineConfig(executor="serial", num_workers=8, chunk_size=16)
     rep = lint_budget(plan, serial, graph)
     assert not any(d.rule == "B407" for d in rep.diagnostics)
+
+
+def test_concurrent_exports_share_one_segment_set(monkeypatch):
+    # serve threads exporting one fresh graph version at once must not
+    # each create segments (the losers' sets would leak until exit)
+    import sys
+    import threading
+
+    from repro.graph.generators import powerlaw_cluster
+    from repro.parallel import sharedgraph
+
+    created = []
+    original = sharedgraph._Export.__init__
+
+    def slow_init(self, graph):
+        created.append(graph)
+        threading.Event().wait(0.05)  # widen the check-then-create window
+        original(self, graph)
+
+    monkeypatch.setattr(sharedgraph._Export, "__init__", slow_init)
+    g = powerlaw_cluster(40, 3, 0.3, seed=5)  # never exported before
+    barrier = threading.Barrier(4, timeout=30)
+    handles = []
+
+    def export():
+        barrier.wait()
+        handles.append(sharedgraph.export_graph(g))
+
+    threads = [threading.Thread(target=export) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(created) == 1
+        assert len({h.token for h in handles}) == 1 and len(handles) == 4
+    finally:
+        sys.setswitchinterval(interval)
+        sharedgraph._release(id(g))

@@ -44,7 +44,6 @@ class TestResultCacheUnit:
         base = EngineConfig()
         variants = [
             base.with_(executor="process", num_workers=4),
-            base.with_(codegen=True),
             base.with_(fastpath=False),
         ]
         k = ResultCache.key("g", 1, QUERIES["q1"], False, base)

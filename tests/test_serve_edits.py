@@ -11,6 +11,7 @@ backend-identical and partition the total count.
 import numpy as np
 import pytest
 
+from repro.codegen.computer import CodegenCandidateComputer
 from repro.core.config import EngineConfig
 from repro.core.engine import STMatchEngine
 from repro.graph.csr import CSRGraph
@@ -168,14 +169,30 @@ class TestPinnedRuns:
         ref = STMatchEngine(g, EngineConfig(fastpath=False))
         alt = STMatchEngine(g, EngineConfig(fastpath=fastpath))
         for pins in ({0: 3}, {1: 5}, {0: 3, 1: 5}, {2: 0}):
-            assert ref.run(q, pins=pins).matches == \
-                alt.run(q, pins=pins).matches
+            a, b = ref.run(q, pins=pins), alt.run(q, pins=pins)
+            assert (a.matches, a.cycles) == (b.matches, b.cycles), pins
 
-    def test_pins_bypass_codegen_tier(self):
+    def test_pinned_runs_use_compiled_kernels(self):
         g = _graph(seed=2, n=18)
         q = QUERIES["q1"]
-        eng = STMatchEngine(g, EngineConfig(codegen=True))
-        # a pinned run must not hit the compiled (pin-free) kernels
-        pinned = sum(eng.run(q, pins={0: v}).matches
+        eng = STMatchEngine(g, EngineConfig(fastpath=True))
+        ref = STMatchEngine(g, EngineConfig(fastpath=False))
+        plan = eng.plan(q)
+        for pins in ({0: 3}, {1: 5}, {0: 3, 1: 5}, {2: 0}):
+            comp = eng._make_computer(plan, eng.config, pins=pins)
+            assert isinstance(comp, CodegenCandidateComputer)
+            assert comp.kernel.key[-1] == tuple(sorted(pins))
+            a, b = ref.run(plan, pins=pins), eng.run(plan, pins=pins)
+            assert (a.matches, a.cycles, a.status) == \
+                (b.matches, b.cycles, b.status), pins
+        # a pinned last level must bypass the count-only leaf shortcuts
+        # (embedding-counting plans are the ones that take them)
+        for qname in ("q1", "q4", "q7"):
+            p = eng.plan(QUERIES[qname], symmetry_breaking=False)
+            for pins in ({p.size - 1: 4}, {0: 3, p.size - 1: 5}):
+                a, b = ref.run(p, pins=pins), eng.run(p, pins=pins)
+                assert (a.matches, a.cycles) == (b.matches, b.cycles), pins
+        # pinned root counts partition the full count on the fast tier
+        pinned = sum(eng.run(plan, pins={0: v}).matches
                      for v in range(g.num_vertices))
         assert pinned == STMatchEngine(g).count(q)
